@@ -56,5 +56,9 @@ bench-serve:
 bench-sim:
 	sh scripts/sim_bench.sh
 
+# Dataset parser round trip, then both serving lanes differentially
+# through the shared batch pipeline (seed corpus in
+# internal/core/testdata/fuzz/).
 fuzz:
 	$(GO) test ./internal/profile/ -fuzz FuzzDatasetRoundTrip -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzLaneDifferential -fuzztime 30s

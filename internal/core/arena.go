@@ -32,55 +32,25 @@ func (a *ServeArena) Reset() {
 // first batches don't trigger a growth ladder.
 const arenaMinSlab = 1024
 
-func grownCap(have, need int) int {
-	size := have * 2
-	if size < need {
-		size = need
+// carve hands out the next n zeroed elements of *slab, replacing the slab
+// with a larger one (at least double, never under arenaMinSlab) when the
+// remainder is too short.
+func carve[T any](slab *[]T, off *int, n int) []T {
+	if *off+n > len(*slab) {
+		*slab = make([]T, max(2*len(*slab), n, arenaMinSlab))
+		*off = 0
 	}
-	if size < arenaMinSlab {
-		size = arenaMinSlab
-	}
-	return size
+	s := (*slab)[*off : *off+n : *off+n]
+	*off += n
+	clear(s)
+	return s
 }
 
 // F64 hands out a zeroed []float64 of length n from the slab.
-func (a *ServeArena) F64(n int) []float64 {
-	if a.f64Off+n > len(a.f64) {
-		a.f64 = make([]float64, grownCap(len(a.f64), n))
-		a.f64Off = 0
-	}
-	s := a.f64[a.f64Off : a.f64Off+n : a.f64Off+n]
-	a.f64Off += n
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
+func (a *ServeArena) F64(n int) []float64 { return carve(&a.f64, &a.f64Off, n) }
 
 // F32 hands out a zeroed []float32 of length n from the slab.
-func (a *ServeArena) F32(n int) []float32 {
-	if a.f32Off+n > len(a.f32) {
-		a.f32 = make([]float32, grownCap(len(a.f32), n))
-		a.f32Off = 0
-	}
-	s := a.f32[a.f32Off : a.f32Off+n : a.f32Off+n]
-	a.f32Off += n
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
+func (a *ServeArena) F32(n int) []float32 { return carve(&a.f32, &a.f32Off, n) }
 
 // Rows hands out a nil-cleared [][]float32 of length n from the slab.
-func (a *ServeArena) Rows(n int) [][]float32 {
-	if a.rowsOff+n > len(a.rows) {
-		a.rows = make([][]float32, grownCap(len(a.rows), n))
-		a.rowsOff = 0
-	}
-	s := a.rows[a.rowsOff : a.rowsOff+n : a.rowsOff+n]
-	a.rowsOff += n
-	for i := range s {
-		s[i] = nil
-	}
-	return s
-}
+func (a *ServeArena) Rows(n int) [][]float32 { return carve(&a.rows, &a.rowsOff, n) }

@@ -109,7 +109,7 @@ func (f *Framework) TrainRegressor(kind RegressorKind, dims int, instances []pro
 	x := make([][]float64, len(instances))
 	y := make([]float64, len(instances))
 	for i, in := range instances {
-		row, err := f.instanceRow(in, kind.usesTensor())
+		row, err := f.instanceRow(in, kind)
 		if err != nil {
 			return nil, err
 		}
@@ -148,19 +148,14 @@ func (t *TrainedRegressor) PredictSeconds(in profile.Instance) (float64, error) 
 func (t *TrainedRegressor) PredictSecondsBatch(ins []profile.Instance) ([]float64, error) {
 	rows := make([][]float64, len(ins))
 	for i, in := range ins {
-		row, err := t.f.instanceRow(in, t.kind.usesTensor())
+		row, err := t.f.instanceRow(in, t.kind)
 		if err != nil {
 			return nil, err
 		}
 		rows[i] = t.xScale.apply(row)
 	}
 	vals := ml.PredictValueAll(t.model, rows)
-	for i, v := range vals {
-		if t.kind.usesScaling() {
-			v = t.yScale.invert(v)
-		}
-		vals[i] = regInvert(v)
-	}
+	t.invertSeconds(vals)
 	return vals, nil
 }
 

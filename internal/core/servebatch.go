@@ -55,6 +55,32 @@ type ServeOutcome struct {
 // framework (nn models reuse forward scratch); the serving layer
 // serializes batch calls through a single lane.
 func (f *Framework) ServePredictBatch(ctx context.Context, reqs []ServeRequest) []ServeOutcome {
+	return f.serveBatch(ctx, reqs, func(tr *Trained) (scorer, error) { return &f64Scorer{tr: tr, archs: f.Dataset.Archs}, nil })
+}
+
+// ServePredictBatchF32 is ServePredictBatch on the float32 inference
+// lane: the same pipeline, but classification and regression score
+// through the compiled f32 models with every row and output buffer
+// carved from the caller's arena. The scoring path proper — row encoding
+// into arena scratch plus the compiled batch predictions — performs zero
+// heap allocations once the arena and compiled-layer scratch are warm;
+// the per-item probability and time vectors are deliberate heap copies
+// because outcomes outlive the arena's next Reset (the serving tier
+// marshals them after this call returns). Tuning is lane-independent
+// (simulator-bound, float64) and shared with the reference lane.
+//
+// A nil arena gets a private one, trading the reuse away for
+// convenience. Like the f64 lane, the method is not safe for concurrent
+// use on one framework; the serving layer serializes batch calls
+// through a single lane per arena.
+func (f *Framework) ServePredictBatchF32(ctx context.Context, reqs []ServeRequest, arena *ServeArena) []ServeOutcome {
+	return f.serveBatch(ctx, reqs, func(*Trained) (scorer, error) { return f.newF32Scorer(arena) })
+}
+
+// serveBatch is the one batch pipeline behind both lanes: admit, dedup,
+// classify, tune, regress and assemble, with every model call going
+// through the scorer newScorer builds once the trained set resolves.
+func (f *Framework) serveBatch(ctx context.Context, reqs []ServeRequest, newScorer func(*Trained) (scorer, error)) []ServeOutcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -63,6 +89,10 @@ func (f *Framework) ServePredictBatch(ctx context.Context, reqs []ServeRequest) 
 		return outs
 	}
 	tr, err := f.requireTrained()
+	var sc scorer
+	if err == nil {
+		sc, err = newScorer(tr)
+	}
 	if err != nil {
 		for i := range outs {
 			outs[i].Err = err
@@ -96,12 +126,14 @@ func (f *Framework) ServePredictBatch(ctx context.Context, reqs []ServeRequest) 
 	if err := ctx.Err(); err != nil {
 		failLive(primaries, err)
 	} else {
-		f.classifyServeItems(tr, primaries)
+		classifyServeItems(tr, sc, primaries)
 		f.tuneServeItems(ctx, primaries)
 		if err := ctx.Err(); err != nil {
 			failLive(primaries, err)
 		} else {
-			f.regressServeItems(primaries)
+			for _, g := range groupBy(primaries, func(it *serveItem) int { return it.req.Stencil.Dims }) {
+				sc.regress(g).run(g)
+			}
 		}
 	}
 
@@ -142,15 +174,11 @@ type serveItem struct {
 	// copies the primary's outcome.
 	primary *serveItem
 
-	arch gpu.Arch
-	cls  ml.Classifier
-	reg  *TrainedRegressor
-	// regF32 replaces reg when the item rides the f32 lane (servebatchf32.go).
-	regF32 *CompiledRegressorF32
-	class  int
-	proba  []float64
-	oc     opt.Opt
-	tuned  tuner.Result
+	arch  gpu.Arch
+	class int
+	proba []float64
+	oc    opt.Opt
+	tuned tuner.Result
 	// tunedDone marks that the tuning worker actually ran for this item;
 	// after a context-cancelled tune pass it separates items with real
 	// results from items the pool never dispatched.
@@ -178,9 +206,38 @@ func live(items []*serveItem) []*serveItem {
 	return out
 }
 
+// groupBy partitions the live items by key, groups in order of first
+// appearance, so every batched model call covers one group.
+func groupBy[K comparable](items []*serveItem, key func(*serveItem) K) [][]*serveItem {
+	index := make(map[K]int)
+	var groups [][]*serveItem
+	for _, it := range live(items) {
+		k := key(it)
+		gi, ok := index[k]
+		if !ok {
+			gi = len(groups)
+			index[k] = gi
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], it)
+	}
+	return groups
+}
+
+// guard runs fn, turning a panic into the error "core: <what> panicked:
+// <value>" so a poisoned model call fails its requests, not the process.
+func guard(what string, fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("core: %s panicked: %v", what, v)
+		}
+	}()
+	return fn()
+}
+
 // admitServeItems resolves per-request lookups (GPU, stencil validity,
-// classifier, regressor) in ServePredict's exact check order, so a
-// request failing several ways reports the same error it would serially.
+// classifier) in ServePredict's exact check order, so a request failing
+// several ways reports the same error it would serially.
 func (f *Framework) admitServeItems(tr *Trained, reqs []ServeRequest, outs []ServeOutcome) []*serveItem {
 	items := make([]*serveItem, 0, len(reqs))
 	for i, req := range reqs {
@@ -195,95 +252,39 @@ func (f *Framework) admitServeItems(tr *Trained, reqs []ServeRequest, outs []Ser
 			it.fail(err)
 			continue
 		}
-		cls, err := tr.classifierFor(req.GPU, req.Stencil.Dims)
-		if err != nil {
+		if _, err := tr.classifierFor(req.GPU, req.Stencil.Dims); err != nil {
 			it.fail(err)
 			continue
 		}
-		it.arch, it.cls = arch, cls
+		it.arch = arch
 	}
 	return items
 }
 
-// classifyServeItems scores each (GPU, dims) group's stencils through one
-// batched classifier call. The regressor is resolved right after a
-// group's probabilities land, preserving ServePredict's error precedence
-// (classifier errors before regressor errors). A panicking batched call
-// falls back to scoring that group row by row, isolating a poisoned row
-// to its own outcome.
-func (f *Framework) classifyServeItems(tr *Trained, items []*serveItem) {
-	type clsGroup struct {
-		cls   ml.Classifier
-		items []*serveItem
-	}
-	groups := make(map[ml.Classifier]*clsGroup)
-	var order []ml.Classifier
-	for _, it := range live(items) {
-		g := groups[it.cls]
-		if g == nil {
-			g = &clsGroup{cls: it.cls}
-			groups[it.cls] = g
-			order = append(order, it.cls)
-		}
-		g.items = append(g.items, it)
-	}
-	for _, key := range order {
-		g := groups[key]
-		rows := make([][]float64, len(g.items))
-		for i, it := range g.items {
-			rows[i] = classEncode(tr.ClassifierKind, it.req.Stencil)
-		}
-		probas, err := safeProbaBatch(g.cls, rows)
+// classKey identifies the classifier serving an item.
+type classKey struct {
+	gpu  string
+	dims int
+}
+
+// classifyServeItems scores each (GPU, dims) group's stencils through
+// one batched classifier call, then resolves the regressor, preserving
+// ServePredict's error precedence (classifier errors before regressor
+// errors).
+func classifyServeItems(tr *Trained, sc scorer, items []*serveItem) {
+	for _, g := range groupBy(items, func(it *serveItem) classKey { return classKey{it.req.GPU, it.req.Stencil.Dims} }) {
+		calls, err := sc.classify(g)
 		if err != nil {
-			// Batched path poisoned: retry row by row so only the bad
-			// request fails.
-			for i, it := range g.items {
-				proba, rowErr := safeProbaRow(g.cls, rows[i])
-				if rowErr != nil {
-					it.fail(rowErr)
-					continue
-				}
-				it.class, it.proba = ml.ArgMax(proba), proba
-			}
-		} else {
-			for i, it := range g.items {
-				it.class, it.proba = ml.ArgMax(probas[i]), probas[i]
-			}
+			failLive(g, err)
+			continue
 		}
-		for _, it := range g.items {
-			if it.out.Err != nil {
-				continue
-			}
-			reg, ok := f.Trained.Regressors[it.req.Stencil.Dims]
-			if !ok {
-				it.fail(fmt.Errorf("core: no trained %d-D regressor", it.req.Stencil.Dims))
-				continue
-			}
-			it.reg = reg
+		calls.run(g)
+	}
+	for _, it := range live(items) {
+		if _, ok := tr.Regressors[it.req.Stencil.Dims]; !ok {
+			it.fail(fmt.Errorf("core: no trained %d-D regressor", it.req.Stencil.Dims))
 		}
 	}
-}
-
-func safeProbaBatch(cls ml.Classifier, rows [][]float64) (probas [][]float64, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("core: batched classify panicked: %v", v)
-		}
-	}()
-	probas = ml.PredictProbaAll(cls, rows)
-	if len(probas) != len(rows) {
-		return nil, fmt.Errorf("core: batched classify returned %d rows for %d", len(probas), len(rows))
-	}
-	return probas, nil
-}
-
-func safeProbaRow(cls ml.Classifier, row []float64) (proba []float64, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("core: classify panicked: %v", v)
-		}
-	}()
-	return cls.PredictProba(row), nil
 }
 
 // tuneServeItems tunes every live item's representative OC concurrently.
@@ -302,17 +303,12 @@ func (f *Framework) tuneServeItems(ctx context.Context, items []*serveItem) {
 	_ = par.ForEach(ctx, len(todo), 0, func(i int) error {
 		it := todo[i]
 		it.tunedDone = true
-		defer func() {
-			if v := recover(); v != nil {
-				it.fail(fmt.Errorf("core: tuning panicked: %v", v))
-			}
-		}()
-		oc, res, err := f.tuneForClass(it.req.GPU, it.req.Stencil, it.arch, it.proba)
-		if err != nil {
+		if err := guard("tuning", func() (err error) {
+			it.oc, it.tuned, err = f.tuneForClass(it.req.GPU, it.req.Stencil, it.arch, it.proba)
+			return err
+		}); err != nil {
 			it.fail(err)
-			return nil
 		}
-		it.oc, it.tuned = oc, res
 		return nil
 	})
 	if err := ctx.Err(); err != nil {
@@ -322,76 +318,6 @@ func (f *Framework) tuneServeItems(ctx context.Context, items []*serveItem) {
 			}
 		}
 	}
-}
-
-// regressServeItems predicts cross-GPU times with one batched regressor
-// call per dims group: each item contributes len(archs) rows, the group
-// scores in a single pass, and the flat output is sliced back per item.
-// Row independence of the batched paths makes the slices identical to
-// per-item PredictStencilSeconds calls; a panicking batched call falls
-// back to exactly those per-item calls.
-func (f *Framework) regressServeItems(items []*serveItem) {
-	archs := f.Dataset.Archs
-	type regGroup struct {
-		reg   *TrainedRegressor
-		items []*serveItem
-	}
-	groups := make(map[*TrainedRegressor]*regGroup)
-	var order []*TrainedRegressor
-	for _, it := range live(items) {
-		g := groups[it.reg]
-		if g == nil {
-			g = &regGroup{reg: it.reg}
-			groups[it.reg] = g
-			order = append(order, it.reg)
-		}
-		g.items = append(g.items, it)
-	}
-	for _, key := range order {
-		g := groups[key]
-		rows := make([][]float64, 0, len(g.items)*len(archs))
-		for _, it := range g.items {
-			rows = append(rows, g.reg.stencilRows(it.req.Stencil, it.oc, it.tuned.Params, archs)...)
-		}
-		vals, err := safeValueBatch(g.reg, rows)
-		if err != nil {
-			for _, it := range g.items {
-				times, rowErr := safeStencilSeconds(g.reg, it, archs)
-				if rowErr != nil {
-					it.fail(rowErr)
-					continue
-				}
-				it.times = times
-			}
-			continue
-		}
-		g.reg.invertSeconds(vals)
-		for i, it := range g.items {
-			it.times = vals[i*len(archs) : (i+1)*len(archs) : (i+1)*len(archs)]
-		}
-	}
-}
-
-func safeValueBatch(reg *TrainedRegressor, rows [][]float64) (vals []float64, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("core: batched regression panicked: %v", v)
-		}
-	}()
-	vals = ml.PredictValueAll(reg.model, rows)
-	if len(vals) != len(rows) {
-		return nil, fmt.Errorf("core: batched regression returned %d values for %d rows", len(vals), len(rows))
-	}
-	return vals, nil
-}
-
-func safeStencilSeconds(reg *TrainedRegressor, it *serveItem, archs []gpu.Arch) (times []float64, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("core: regression panicked: %v", v)
-		}
-	}()
-	return reg.PredictStencilSeconds(it.req.Stencil, it.oc, it.tuned.Params, archs), nil
 }
 
 // assemble builds the item's ServePrediction with the exact field set
@@ -414,4 +340,205 @@ func (it *serveItem) assemble(f *Framework) *ServePrediction {
 		PredictedSeconds: it.times,
 		Advice:           rentAdvice(it.req.GPU, archs, it.times),
 	}
+}
+
+// scorer is one lane's model arithmetic: it encodes a group's rows, calls
+// the lane's models and converts their outputs onto the items. The
+// pipeline around it — grouping, fallback, panic guards — is shared.
+type scorer interface {
+	// classify prepares the classifier calls for one (GPU, dims) group,
+	// recording each item's class and probabilities.
+	classify(items []*serveItem) (scoreCalls, error)
+	// regress prepares the cross-GPU regressor calls for one dims group,
+	// recording each item's predicted seconds.
+	regress(items []*serveItem) scoreCalls
+}
+
+// scoreCalls is one group's model calls as a lane prepared them: batch
+// scores the whole group in one call, item scores item i alone. Either
+// may panic; run guards both, naming the call in the error.
+type scoreCalls struct {
+	batchWhat, itemWhat string
+	batch               func() error
+	item                func(i int) error
+}
+
+// run scores the group through its batched call; when that panics or
+// fails, it retries item by item so a poisoned row fails only its own
+// request while its batchmates still get their results.
+func (c scoreCalls) run(items []*serveItem) {
+	if guard(c.batchWhat, c.batch) == nil {
+		return
+	}
+	for i, it := range items {
+		if err := guard(c.itemWhat, func() error { return c.item(i) }); err != nil {
+			it.fail(err)
+		}
+	}
+}
+
+// f64Scorer is the reference lane: Trained's float64 models over heap
+// rows, with ServePredict's encoders.
+type f64Scorer struct {
+	tr    *Trained
+	archs []gpu.Arch
+}
+
+func (s *f64Scorer) classify(items []*serveItem) (scoreCalls, error) {
+	cls, err := s.tr.classifierFor(items[0].req.GPU, items[0].req.Stencil.Dims)
+	if err != nil {
+		return scoreCalls{}, err
+	}
+	rows := make([][]float64, len(items))
+	for i, it := range items {
+		rows[i] = classEncode(s.tr.ClassifierKind, it.req.Stencil)
+	}
+	return scoreCalls{
+		batchWhat: "batched classify",
+		itemWhat:  "classify",
+		batch: func() error {
+			probas := ml.PredictProbaAll(cls, rows)
+			if len(probas) != len(rows) {
+				return fmt.Errorf("core: batched classify returned %d rows for %d", len(probas), len(rows))
+			}
+			for i, it := range items {
+				it.class, it.proba = ml.ArgMax(probas[i]), probas[i]
+			}
+			return nil
+		},
+		item: func(i int) error {
+			proba := cls.PredictProba(rows[i])
+			items[i].class, items[i].proba = ml.ArgMax(proba), proba
+			return nil
+		},
+	}, nil
+}
+
+// regress scores the group's len(archs) rows per item in one pass and
+// slices the flat output back per item; row independence of the batched
+// paths makes each slice identical to a per-item PredictStencilSeconds
+// call, which is the fallback.
+func (s *f64Scorer) regress(items []*serveItem) scoreCalls {
+	reg := s.tr.Regressors[items[0].req.Stencil.Dims]
+	n := len(s.archs)
+	rows := make([][]float64, 0, len(items)*n)
+	for _, it := range items {
+		rows = append(rows, reg.stencilRows(it.req.Stencil, it.oc, it.tuned.Params, s.archs)...)
+	}
+	return scoreCalls{
+		batchWhat: "batched regression",
+		itemWhat:  "regression",
+		batch: func() error {
+			vals := ml.PredictValueAll(reg.model, rows)
+			if len(vals) != len(rows) {
+				return fmt.Errorf("core: batched regression returned %d values for %d rows", len(vals), len(rows))
+			}
+			reg.invertSeconds(vals)
+			for i, it := range items {
+				it.times = vals[i*n : (i+1)*n : (i+1)*n]
+			}
+			return nil
+		},
+		item: func(i int) error {
+			it := items[i]
+			it.times = reg.PredictStencilSeconds(it.req.Stencil, it.oc, it.tuned.Params, s.archs)
+			return nil
+		},
+	}
+}
+
+// f32Scorer is the float32 lane: CompiledTrained's models over rows and
+// outputs carved from the batch's ServeArena. Rows encode in arena
+// float64 scratch (the reference encoders bit for bit) and convert once
+// into float32; a single item's fallback is the same call over its own
+// rows.
+type f32Scorer struct {
+	ct    *CompiledTrained
+	arena *ServeArena
+	archs []gpu.Arch
+}
+
+// newF32Scorer resolves the compiled lane and resets the batch's arena.
+func (f *Framework) newF32Scorer(arena *ServeArena) (scorer, error) {
+	ct, err := f.CompiledF32()
+	if err != nil {
+		return nil, err
+	}
+	if arena == nil {
+		arena = NewServeArena()
+	}
+	arena.Reset()
+	return &f32Scorer{ct: ct, arena: arena, archs: f.Dataset.Archs}, nil
+}
+
+// rangeCalls builds a group's calls from one function scoring items
+// [lo, hi): the batch is the whole range, an item is a range of one.
+func rangeCalls(what string, n int, score func(lo, hi int)) scoreCalls {
+	return scoreCalls{
+		batchWhat: what,
+		itemWhat:  what,
+		batch:     func() error { score(0, n); return nil },
+		item:      func(i int) error { score(i, i+1); return nil },
+	}
+}
+
+func (s *f32Scorer) classify(items []*serveItem) (scoreCalls, error) {
+	dims := items[0].req.Stencil.Dims
+	cls, err := s.ct.classifierFor(items[0].req.GPU, dims)
+	if err != nil {
+		return scoreCalls{}, err
+	}
+	width := classWidth(s.ct.ClassifierKind, dims)
+	classes := cls.Classes()
+	rows := s.arena.Rows(len(items))
+	scratch := s.arena.F64(width)
+	for i, it := range items {
+		row := s.arena.F32(width)
+		classRowInto(s.ct.ClassifierKind, it.req.Stencil, scratch)
+		for j, v := range scratch {
+			row[j] = float32(v)
+		}
+		rows[i] = row
+	}
+	out := s.arena.F32(len(items) * classes)
+	return rangeCalls("batched f32 classify", len(items), func(lo, hi int) {
+		cls.PredictProbaBatchF32(rows[lo:hi], out[lo*classes:hi*classes])
+		for i := lo; i < hi; i++ {
+			p := out[i*classes : (i+1)*classes]
+			items[i].class, items[i].proba = ml.ArgMaxF32(p), probaCopy(p)
+		}
+	}), nil
+}
+
+func (s *f32Scorer) regress(items []*serveItem) scoreCalls {
+	dims := items[0].req.Stencil.Dims
+	reg := s.ct.regressors[dims]
+	n := len(s.archs)
+	width := regWidthFor(reg.kind, dims)
+	rows := s.arena.Rows(len(items) * n)
+	scratch := s.arena.F64(width)
+	for i, it := range items {
+		for ai, arch := range s.archs {
+			row := s.arena.F32(width)
+			reg.encodeRowF32(it.req.Stencil, it.oc, it.tuned.Params, arch, scratch, row)
+			rows[i*n+ai] = row
+		}
+	}
+	out := s.arena.F32(len(rows))
+	return rangeCalls("batched f32 regression", len(items), func(lo, hi int) {
+		reg.model.PredictValueBatchF32(rows[lo*n:hi*n], out[lo*n:hi*n])
+		for i := lo; i < hi; i++ {
+			items[i].times = reg.invertSecondsF32(out[i*n : (i+1)*n])
+		}
+	})
+}
+
+// probaCopy lifts an arena probability row to a float64 heap copy that
+// survives the arena's next Reset.
+func probaCopy(p []float32) []float64 {
+	out := make([]float64, len(p))
+	for k, v := range p {
+		out[k] = float64(v)
+	}
+	return out
 }
